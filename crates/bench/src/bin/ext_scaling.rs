@@ -4,7 +4,7 @@
 //! sweep shows the struct-of-arrays window loop holds its
 //! per-node-window cost out to a million machines, switching to the
 //! memory-bounded streamed window pipeline once a monolithic table would
-//! blow the byte budget (`LINGER_WINDOW_BUDGET_BYTES`, default 4 GiB;
+//! blow the byte budget (`DEFAULT_WINDOW_BUDGET_BYTES`, 4 GiB;
 //! `LINGER_WINDOW_CHUNK` forces chunked streaming at any size).
 //!
 //! Beyond the shared harness flags, `--max-nodes <n>` truncates the

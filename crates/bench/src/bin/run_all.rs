@@ -16,6 +16,9 @@ use linger_bench::output::{note_artifact, HarnessArgs};
 use linger_bench::*;
 use linger_workload::TraceLibrary;
 
+/// Interleaved disabled/journaling runs in the telemetry overhead A/B.
+const TELEMETRY_AB_PAIRS: usize = 5;
+
 struct Check {
     name: &'static str,
     paper: String,
@@ -688,18 +691,33 @@ fn main() {
             cfg.seed = args.seed;
             cfg
         };
+        // Realize the owner workload once, untimed, so neither arm pays
+        // synthesis: both replay the same shared realization.
+        let cfg = mk();
+        let real = TraceLibrary::global().realize(&cfg.trace, cfg.seed, cfg.nodes);
         let run = |recorder: Recorder| {
             let t = std::time::Instant::now();
-            let mut sim = ClusterSim::new(mk()).with_recorder(recorder);
+            let mut sim = ClusterSim::with_realization(mk(), &real).with_recorder(recorder);
             sim.run();
             t.elapsed().as_secs_f64()
         };
-        let disabled_secs = run(Recorder::disabled());
-        let journaling_secs = run(Recorder::with_capacity(linger_telemetry::DEFAULT_CAPACITY));
+        // Interleaved pairs, so a drift in host speed hits both arms.
+        let pairs: Vec<(f64, f64)> = (0..TELEMETRY_AB_PAIRS)
+            .map(|_| {
+                let off = run(Recorder::disabled());
+                (off, run(Recorder::with_capacity(linger_telemetry::DEFAULT_CAPACITY)))
+            })
+            .collect();
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
         TelemetryOverhead {
-            disabled_secs,
-            journaling_secs,
-            ratio: if disabled_secs > 0.0 { journaling_secs / disabled_secs } else { 0.0 },
+            disabled_secs: median(pairs.iter().map(|p| p.0).collect()),
+            journaling_secs: median(pairs.iter().map(|p| p.1).collect()),
+            ratio: median(
+                pairs.iter().map(|&(off, on)| if off > 0.0 { on / off } else { 0.0 }).collect(),
+            ),
         }
     }) {
         None => checks.push(section_panicked("telemetry_ab")),
@@ -721,7 +739,7 @@ fn main() {
     // fig07 wall-clock against the pre-telemetry reference measurement
     // (seed 1998, --jobs default, telemetry disabled): the disabled path
     // must stay within 3% plus a small absolute noise guard. Machine-
-    // dependent — informational, like the baselines above.
+    // dependent — informational, like the scaling baselines below.
     let fig07_pre_telemetry = if args.fast { 0.0199 } else { 0.0902 };
     if let Some(f7_secs) = timings.sections.iter().find(|s| s.name == "fig07").map(|s| s.secs) {
         checks.push(Check {
@@ -754,18 +772,6 @@ fn main() {
         }
     }
 
-    // Pre-cache wall-clock of the sections the realization cache targets,
-    // recorded on the reference machine immediately before the change
-    // (seed 1998, --jobs default). Machine-dependent — informational.
-    let (fig07_before, scaling_before) =
-        if args.fast { (0.1304, 2.6524) } else { (0.5604, 5.1005) };
-    timings.baselines = [
-        SectionBaseline::compare("fig07", &timings.sections, fig07_before),
-        SectionBaseline::compare("ext_scaling", &timings.sections, scaling_before),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
     // Per-cell window-loop costs (ns per node-window) measured on the
     // reference machine immediately after the job-slot-recycling change
     // (seed 1998, --jobs default, timing_reps as recorded: 1 at

@@ -650,7 +650,7 @@ pub fn scaling_ns_per_node_window(timings: &[ScalingTiming], nodes: usize) -> f6
 /// node-window. The paper stops at 64 nodes; this sweep shows the
 /// indexed-node-state simulator holds its per-node-window cost out to a
 /// million workstations. Counts whose monolithic window table would
-/// exceed `LINGER_WINDOW_BUDGET_BYTES` (default 4 GiB) stream windows
+/// exceed `DEFAULT_WINDOW_BUDGET_BYTES` (4 GiB) stream windows
 /// through the chunked pipeline instead; outcomes are byte-identical
 /// either way, and the chunk-build seconds are reported separately in
 /// [`ScalingTiming::stream_build_secs`].

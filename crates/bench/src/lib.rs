@@ -20,5 +20,5 @@ pub use experiments::*;
 pub use output::{write_json, ArgError, Table};
 pub use runner::{
     peak_rss_kb, CellError, FailedCell, FailedSection, RunTimings, Runner, ScalingBaseline,
-    SectionBaseline, SectionTiming, TelemetryOverhead,
+    SectionTiming, TelemetryOverhead,
 };

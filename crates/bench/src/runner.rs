@@ -178,9 +178,6 @@ pub struct RunTimings {
     /// A/B micro-measurement of the telemetry disabled-vs-journaling
     /// window-loop cost (machine-dependent; informational).
     pub telemetry_overhead: Option<TelemetryOverhead>,
-    /// Recorded before→after wall-clock comparisons for sections whose
-    /// speedup a PR claims (machine-dependent; informational).
-    pub baselines: Vec<SectionBaseline>,
     /// Recorded before→after window-loop costs (ns per node-window) for
     /// the scaling sweep's cells, per policy and node count
     /// (machine-dependent; informational).
@@ -227,47 +224,22 @@ pub struct FailedCell {
 
 /// Wall-clock of the same cluster cell with telemetry disabled versus
 /// journaling into a ring — the number behind the "compile-time-cheap
-/// when disabled" contract (machine-dependent; informational).
+/// when disabled" contract (machine-dependent; informational). Both arms
+/// replay one realization synthesized before timing starts, over
+/// interleaved disabled/journaling pairs; each field is a median.
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetryOverhead {
     /// Seconds with a disabled recorder (`Recorder::disabled()`).
     pub disabled_secs: f64,
     /// Seconds journaling into a default-capacity ring.
     pub journaling_secs: f64,
-    /// `journaling_secs / disabled_secs` (1.0 = free).
+    /// Per-pair `journaling / disabled` (1.0 = free).
     pub ratio: f64,
 }
 
-/// A section's wall-clock against a recorded pre-change baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct SectionBaseline {
-    /// Section name (matches [`SectionTiming::name`]).
-    pub name: String,
-    /// Pre-change wall-clock seconds (recorded on the reference machine).
-    pub before_secs: f64,
-    /// This run's wall-clock seconds.
-    pub after_secs: f64,
-    /// `before_secs / after_secs` (> 1 is an improvement).
-    pub speedup: f64,
-}
-
-impl SectionBaseline {
-    /// Compare section `name`'s measured time in `sections` against a
-    /// recorded baseline. Returns `None` when the section did not run.
-    pub fn compare(name: &str, sections: &[SectionTiming], before_secs: f64) -> Option<Self> {
-        let after_secs = sections.iter().find(|s| s.name == name)?.secs;
-        Some(SectionBaseline {
-            name: name.to_string(),
-            before_secs,
-            after_secs,
-            speedup: if after_secs > 0.0 { before_secs / after_secs } else { 0.0 },
-        })
-    }
-}
-
 /// One scaling-sweep cell's window-loop cost against a pre-change
-/// measurement on the reference machine — the [`SectionBaseline`] idea
-/// at (nodes, policy) granularity (machine-dependent; informational).
+/// measurement on the reference machine, at (nodes, policy) granularity
+/// (machine-dependent; informational).
 #[derive(Debug, Clone, Serialize)]
 pub struct ScalingBaseline {
     /// Cluster size of the cell.

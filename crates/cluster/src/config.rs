@@ -79,8 +79,9 @@ pub struct ServiceConfig {
     /// What to do when arrivals meet a full queue.
     pub admission: AdmissionPolicy,
     /// Admission-queue capacity, entries. The effective capacity is the
-    /// minimum of this and the `LINGER_QUEUE_BUDGET` byte budget divided
-    /// by the per-job row cost. Ignored by [`AdmissionPolicy::Open`].
+    /// minimum of this and the
+    /// [`DEFAULT_QUEUE_BUDGET_BYTES`](crate::service::DEFAULT_QUEUE_BUDGET_BYTES)
+    /// byte budget divided by the per-job row cost. Ignored by [`AdmissionPolicy::Open`].
     pub queue_capacity: usize,
     /// Queueing deadline, seconds ([`AdmissionPolicy::Deadline`] only):
     /// a job still queued after this long is dropped unserved.

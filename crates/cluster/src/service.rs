@@ -2,10 +2,10 @@
 //! and the exact counters the overload-control contract promises.
 //!
 //! The contract mirrors the telemetry ring: a bounded structure (the
-//! admission queue) with an explicit byte budget (`LINGER_QUEUE_BUDGET`),
-//! and *exact* counters for everything the bound caused — shed arrivals,
-//! deferred arrivals, deadline drops, saturated windows. Under any
-//! offered load the identity
+//! admission queue) with an explicit byte budget
+//! ([`DEFAULT_QUEUE_BUDGET_BYTES`]), and *exact* counters for everything
+//! the bound caused — shed arrivals, deferred arrivals, deadline drops,
+//! saturated windows. Under any offered load the identity
 //! `generated == admitted + shed + deficit` holds window by window, so a
 //! sweep can assert loss accounting to the last job.
 
@@ -22,15 +22,6 @@ pub const THROUGHPUT_BATCH_WINDOWS: usize = 128;
 
 /// Completions per latency batch for the batch-means estimator.
 pub const LATENCY_BATCH_JOBS: usize = 64;
-
-/// The admission-queue byte budget from the environment
-/// (`LINGER_QUEUE_BUDGET`, bytes), or the default.
-pub fn queue_budget_from_env() -> usize {
-    std::env::var("LINGER_QUEUE_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_QUEUE_BUDGET_BYTES)
-}
 
 /// Effective admission-queue capacity in entries: the configured entry
 /// capacity clamped by the byte budget divided by the per-job row cost.

@@ -30,15 +30,13 @@
 
 use crate::config::{AdmissionPolicy, ClusterConfig, RunMode};
 use crate::faults::{FaultEventKind, FaultModel, FaultStats};
-use crate::service::{effective_queue_capacity, queue_budget_from_env, ServiceStats};
+use crate::service::{effective_queue_capacity, ServiceStats, DEFAULT_QUEUE_BUDGET_BYTES};
 use crate::state::{JobCold, JobRecord, JobSlabs, JobState, NodeId, NodeSlabs, NO_JOB, NO_NODE};
 use crate::stealing::{draw_victim, StealState, StealStats};
 use linger::cost::should_migrate;
 use linger::{JobId, JobSpec, Policy};
 use linger_node::steal_rate;
-use linger_sim_core::{
-    default_jobs, prefetch_read, NodeIndex, RngFactory, ShardPlan, SimDuration, SimTime,
-};
+use linger_sim_core::{prefetch_read, NodeIndex, RngFactory, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
 use linger_workload::{
     ArrivalGenerator, CoarseTrace, RealizeOrigin, TraceLibrary, TwoPoolMemory, WindowCursor,
@@ -51,8 +49,8 @@ use std::sync::Arc;
 pub const WINDOW: SimDuration = SimDuration::from_secs(SAMPLE_PERIOD_SECS);
 
 /// Nodes below this count never spawn shard worker threads (the per-
-/// window spawn cost would dwarf the sweep itself). Overridable via
-/// `LINGER_SHARD_THREAD_MIN` and [`ClusterSim::set_shard_threading_min`].
+/// window spawn cost would dwarf the sweep itself). Tests lower it per
+/// simulator with [`ClusterSim::set_shard_threading_min`].
 const SHARD_THREAD_MIN_NODES: usize = 8192;
 
 /// Default shard count for an `n`-node cluster: one shard per ~8k nodes,
@@ -143,9 +141,9 @@ struct StealIntent {
 }
 
 /// Where the per-window `(cpu, idle, mem)` rows of phase 0 come from.
-/// Purely an execution choice — all three sources produce identical
-/// rows for the same realization (`stream::tests` and the cluster
-/// streaming suite prove it bit-for-bit).
+/// Purely an execution choice — both sources produce identical rows for
+/// the same realization (`stream::tests` and the cluster streaming suite
+/// prove it bit-for-bit).
 enum WindowSource {
     /// Fully materialized window-major table, `Arc`-shared with every
     /// other simulator over the same realization.
@@ -153,14 +151,12 @@ enum WindowSource {
     /// Memory-bounded chunked cursor over resumable per-node trace
     /// streams; chunks are built lazily just ahead of the sweep.
     Streamed(Box<WindowCursor>),
-    /// Mixed-period traces: per-node trace lookups every window.
-    TraceOnly,
 }
 
 /// The cluster simulation.
 pub struct ClusterSim {
     cfg: ClusterConfig,
-    /// Per-node hot/cold slabs (occupancy, memory; traces behind them).
+    /// Per-node slabs (occupancy, memory).
     nodes: NodeSlabs,
     /// Per-job hot/cold slabs; materialized via [`Self::jobs`].
     jobs: JobSlabs,
@@ -198,8 +194,7 @@ pub struct ClusterSim {
     /// transfer progress and arrivals never rescan the ever-growing job
     /// table (throughput mode appends a record per respawn).
     migrating: Vec<usize>,
-    /// Per-window row source: shared table, streamed chunks, or raw
-    /// per-node traces (mixed periods).
+    /// Per-window row source: shared table or streamed chunks.
     windows: WindowSource,
     /// Word-aligned partition of the node-id space driving the
     /// classify phase of every sweep.
@@ -261,7 +256,11 @@ impl ClusterSim {
     /// Common random numbers make the realization independent of policy
     /// and cost parameters, so repeated constructions across a sweep
     /// reuse one synthesis; results are identical either way.
+    ///
+    /// # Panics
+    /// If `cfg.nodes` is 0.
     pub fn new(cfg: ClusterConfig) -> Self {
+        assert!(cfg.nodes > 0, "a cluster needs at least one node");
         let (real, origin) =
             TraceLibrary::global().realize_with_origin(&cfg.trace, cfg.seed, cfg.nodes);
         let sim = Self::with_realization(cfg, &real);
@@ -280,55 +279,50 @@ impl ClusterSim {
     /// table are shared by `Arc`, never copied per policy.
     ///
     /// # Panics
-    /// If the realization's node count differs from `cfg.nodes`.
+    /// If `cfg.nodes` is 0, if the realization's node count differs from
+    /// `cfg.nodes`, or if a materialized realization has no window table
+    /// (its traces do not share one nonzero period).
     pub fn with_realization(cfg: ClusterConfig, real: &WorkloadRealization) -> Self {
+        assert!(cfg.nodes > 0, "a cluster needs at least one node");
         assert_eq!(real.nodes(), cfg.nodes, "realization must cover cfg.nodes");
-        if real.stream_spec().is_some() {
-            // Streamed realization: no per-node traces exist. Node state
-            // comes from the chunk rows; initial memory demand is the
-            // window-0 row (by construction the same bytes a monolithic
-            // table's `mem_row(0)` would hold).
-            let mut cursor = real.cursor().expect("streamed realization has a cursor");
-            let slabs = {
-                let chunk = cursor.ensure(0);
-                NodeSlabs::traceless(chunk.mem_row(0), cfg.node_memory_kb)
-            };
-            return Self::assemble(cfg, slabs, WindowSource::Streamed(Box::new(cursor)));
-        }
-        let slabs = NodeSlabs::new(
-            real.traces().to_vec(),
-            real.offsets().to_vec(),
-            cfg.node_memory_kb,
-        );
-        let source = match real.window_table().cloned() {
-            Some(tbl) => WindowSource::Table(tbl),
-            None => WindowSource::TraceOnly,
+        let windows = match real.cursor() {
+            Some(cursor) => WindowSource::Streamed(Box::new(cursor)),
+            None => WindowSource::Table(
+                real.window_table().cloned().expect("realization traces share one period"),
+            ),
         };
-        Self::assemble(cfg, slabs, source)
+        Self::assemble(cfg, windows)
     }
 
     /// Build the simulation over explicit per-node traces and start
     /// offsets — for measured trace data or hand-built test scenarios.
     ///
     /// # Panics
-    /// If the number of traces or offsets differs from `cfg.nodes`.
+    /// If `cfg.nodes` is 0, if the number of traces or offsets differs
+    /// from `cfg.nodes`, or if the traces do not all share one nonzero
+    /// period (the window table replays them in lockstep).
     pub fn with_traces(
         cfg: ClusterConfig,
         traces: Vec<Arc<CoarseTrace>>,
         offsets: Vec<usize>,
     ) -> Self {
+        assert!(cfg.nodes > 0, "a cluster needs at least one node");
         assert_eq!(traces.len(), cfg.nodes, "one trace per node");
         assert_eq!(offsets.len(), cfg.nodes, "one offset per node");
-        let source = match WindowTable::build(&traces, &offsets).map(Arc::new) {
-            Some(tbl) => WindowSource::Table(tbl),
-            None => WindowSource::TraceOnly,
-        };
-        let slabs = NodeSlabs::new(traces, offsets, cfg.node_memory_kb);
-        Self::assemble(cfg, slabs, source)
+        let tbl = WindowTable::build(&traces, &offsets).expect("traces share one period");
+        Self::assemble(cfg, WindowSource::Table(Arc::new(tbl)))
     }
 
-    fn assemble(cfg: ClusterConfig, nodes: NodeSlabs, windows: WindowSource) -> Self {
-        assert_eq!(nodes.len(), cfg.nodes, "one node slab entry per node");
+    fn assemble(cfg: ClusterConfig, mut windows: WindowSource) -> Self {
+        // Initial memory demand is the window-0 row — for a streamed
+        // realization the first chunk, by construction the same bytes a
+        // monolithic table's `mem_row(0)` holds.
+        let nodes = match &mut windows {
+            WindowSource::Table(tbl) => NodeSlabs::new(tbl.mem_row(0), cfg.node_memory_kb),
+            WindowSource::Streamed(cursor) => {
+                NodeSlabs::new(cursor.ensure(0).mem_row(0), cfg.node_memory_kb)
+            }
+        };
         let jobs = JobSlabs::from_specs(cfg.family.jobs());
         let next_job_id = jobs.len() as u32;
         let n = cfg.nodes;
@@ -359,20 +353,16 @@ impl ClusterSim {
             .ok()
             .and_then(|s| s.parse::<usize>().ok())
             .unwrap_or_else(|| default_shard_count(n));
-        let thread_min = std::env::var("LINGER_SHARD_THREAD_MIN")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(SHARD_THREAD_MIN_NODES);
         let plan = ShardPlan::new(n, shards.max(1));
         let shard_count = plan.shard_count().max(1);
         // Open-arrivals wiring: the generator exists only in Open mode,
         // and the admission queue is bounded only when a bounded policy
         // asks for it — the capacity is the configured entry count
-        // clamped by the `LINGER_QUEUE_BUDGET` byte budget.
+        // clamped by the `DEFAULT_QUEUE_BUDGET_BYTES` byte budget.
         let (arrivals, queue_cap, queue_budget) = match cfg.mode {
             RunMode::Open { .. } => {
                 let generator = ArrivalGenerator::new(&cfg.service.arrivals, cfg.seed);
-                let budget = queue_budget_from_env();
+                let budget = DEFAULT_QUEUE_BUDGET_BYTES;
                 let cap = if cfg.service.admission == AdmissionPolicy::Open {
                     usize::MAX
                 } else {
@@ -405,7 +395,7 @@ impl ClusterSim {
             plan,
             decide_bufs: vec![Vec::new(); shard_count],
             progress_bufs: vec![Vec::new(); shard_count],
-            thread_min,
+            thread_min: SHARD_THREAD_MIN_NODES,
             faults,
             crashed: NodeIndex::new(n),
             fault_cursor: 0,
@@ -445,22 +435,11 @@ impl ClusterSim {
     }
 
     /// Lower the node-count threshold above which shards run on scoped
-    /// worker threads (default 8192; `LINGER_SHARD_THREAD_MIN` overrides
-    /// it at construction). Tests use this to exercise the threaded path
-    /// on small clusters; results are identical either way.
+    /// worker threads (default 8192, `SHARD_THREAD_MIN_NODES`). Tests use
+    /// this to exercise the threaded path on small clusters; results are
+    /// identical either way.
     pub fn set_shard_threading_min(&mut self, min_nodes: usize) {
         self.thread_min = min_nodes;
-    }
-
-    /// Worker threads to use for the classify phase this window: 1 (run
-    /// shards in-line) unless the cluster is large, several shards exist,
-    /// and the process worker pool is wider than one.
-    fn shard_workers(&self) -> usize {
-        if self.plan.shard_count() <= 1 || self.nodes.len() < self.thread_min {
-            1
-        } else {
-            default_jobs().min(self.plan.shard_count())
-        }
     }
 
     /// Attach (or detach) an event recorder, replacing the one built
@@ -515,11 +494,7 @@ impl ClusterSim {
             // per-window walk at any point of the run. Archived records
             // never need the patch: retirement implies completion.
             if rec.state == JobState::Queued {
-                let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-                let w = self.window as u32;
-                if w > from {
-                    rec.breakdown.queued += Self::window_span(w - from);
-                }
+                rec.breakdown.queued += self.queued_span(ji);
             }
             records.push(rec);
         }
@@ -618,13 +593,13 @@ impl ClusterSim {
     }
 
     /// Wall-clock seconds spent building streamed window chunks so far
-    /// (0 for table-backed and trace-only realizations). Chunk builds
-    /// are deferred synthesis, so harnesses attribute this to setup and
-    /// subtract it from the sweep's run time.
+    /// (0 for table-backed realizations). Chunk builds are deferred
+    /// synthesis, so harnesses attribute this to setup and subtract it
+    /// from the sweep's run time.
     pub fn stream_build_secs(&self) -> f64 {
         match &self.windows {
             WindowSource::Streamed(cursor) => cursor.build_secs(),
-            _ => 0.0,
+            WindowSource::Table(_) => 0.0,
         }
     }
 
@@ -632,7 +607,7 @@ impl ClusterSim {
     pub fn stream_chunks_built(&self) -> u64 {
         match &self.windows {
             WindowSource::Streamed(cursor) => cursor.chunks_built(),
-            _ => 0,
+            WindowSource::Table(_) => 0,
         }
     }
 
@@ -641,7 +616,7 @@ impl ClusterSim {
     pub fn stream_arena_bytes(&self) -> usize {
         match &self.windows {
             WindowSource::Streamed(cursor) => cursor.approx_bytes(),
-            _ => 0,
+            WindowSource::Table(_) => 0,
         }
     }
 
@@ -867,16 +842,19 @@ impl ClusterSim {
         SimDuration::from_nanos(WINDOW.as_nanos() * count as u64)
     }
 
-    /// Credit job `ji`'s queued time for the span it just spent on the
-    /// queue: every window from `max(entry, arrival)` up to (not
-    /// including) the current one — the exact set of windows the historic
-    /// phase-6 walk visited it in.
-    fn flush_queue_time(&mut self, ji: usize) {
+    /// Job `ji`'s unflushed time on the queue: every window from
+    /// `max(entry, arrival)` up to (not including) the current one — the
+    /// exact set of windows the historic phase-6 walk visited it in.
+    fn queued_span(&self, ji: usize) -> SimDuration {
         let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-        let w = self.window as u32;
-        if w > from {
-            self.jobs.breakdown[ji].queued += Self::window_span(w - from);
-        }
+        Self::window_span((self.window as u32).saturating_sub(from))
+    }
+
+    /// Credit job `ji`'s queued time for the span it just spent on the
+    /// queue.
+    fn flush_queue_time(&mut self, ji: usize) {
+        let span = self.queued_span(ji);
+        self.jobs.breakdown[ji].queued += span;
     }
 
     /// Phase 1b (serving mode): draw this window's arrivals and run them
@@ -992,29 +970,12 @@ impl ClusterSim {
             return;
         }
         let deadline_secs = self.cfg.service.deadline_secs;
-        let w = self.window as u32;
         while let Some(&ji) = self.queue.front() {
-            let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-            let waited = if w > from { Self::window_span(w - from) } else { SimDuration::ZERO };
-            if waited.as_secs_f64() <= deadline_secs {
+            if self.queued_span(ji).as_secs_f64() <= deadline_secs {
                 break;
             }
             self.queue.pop_front();
-            self.flush_queue_time(ji);
-            self.jobs.state[ji] = JobState::Done;
-            self.jobs.node[ji] = NO_NODE;
-            self.service.deadline_dropped += 1;
-            let job = self.jobs.id[ji].0;
-            let waited_secs = waited.as_secs_f64();
-            self.telemetry.record(|| {
-                self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job)
-            });
-            // Dropped-unserved jobs retire like completions: record to
-            // the cold archive, recycle the slot. They are *not* counted
-            // completed and carry no `completed_at`.
-            if self.jobs.slot_reuse() {
-                self.jobs.retire(ji);
-            }
+            self.drop_expired(ji, t);
         }
     }
 
@@ -1025,7 +986,6 @@ impl ClusterSim {
     fn renege_expired_deques(&mut self, t: SimTime) {
         let mut st = self.steal.take().expect("stealing mode");
         let deadline_secs = self.cfg.service.deadline_secs;
-        let w = self.window as u32;
         let mut expired: Vec<u32> = Vec::new();
         for ni in 0..st.nodes() {
             if st.len(ni) == 0 {
@@ -1033,108 +993,69 @@ impl ClusterSim {
             }
             expired.clear();
             expired.extend(st.iter(ni).filter(|&ji| {
-                let ji = ji as usize;
-                let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-                let waited =
-                    if w > from { Self::window_span(w - from) } else { SimDuration::ZERO };
-                waited.as_secs_f64() > deadline_secs
+                self.queued_span(ji as usize).as_secs_f64() > deadline_secs
             }));
             if expired.is_empty() {
                 continue;
             }
             st.remove(ni, &expired);
-            for &ji32 in &expired {
-                let ji = ji32 as usize;
-                let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-                let waited_secs = Self::window_span(w - from).as_secs_f64();
-                self.flush_queue_time(ji);
-                self.jobs.state[ji] = JobState::Done;
-                self.jobs.node[ji] = NO_NODE;
-                self.service.deadline_dropped += 1;
-                let job = self.jobs.id[ji].0;
-                self.telemetry.record(|| {
-                    self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job)
-                });
-                if self.jobs.slot_reuse() {
-                    self.jobs.retire(ji);
-                }
+            for &ji in &expired {
+                self.drop_expired(ji as usize, t);
             }
         }
         self.steal = Some(st);
     }
 
+    /// Drop queued job `ji` (already off its queue or deque) for waiting
+    /// past the deadline. Dropped-unserved jobs retire like completions:
+    /// record to the cold archive, recycle the slot. They are *not*
+    /// counted completed and carry no `completed_at`.
+    fn drop_expired(&mut self, ji: usize, t: SimTime) {
+        let waited = self.queued_span(ji);
+        self.jobs.breakdown[ji].queued += waited;
+        self.jobs.state[ji] = JobState::Done;
+        self.jobs.node[ji] = NO_NODE;
+        self.service.deadline_dropped += 1;
+        let job = self.jobs.id[ji].0;
+        let waited_secs = waited.as_secs_f64();
+        self.telemetry
+            .record(|| self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job));
+        if self.jobs.slot_reuse() {
+            self.jobs.retire(ji);
+        }
+    }
+
     /// Phase 0: refresh the per-window scratch (cpu lane, idle words,
     /// memory demand) and rebuild the `free ∧ idle` candidate set.
     ///
-    /// With a window table, each shard streams its own slice of the three
-    /// SoA lanes: busy nodes take the full two-pool accounting path
-    /// (reclaim/regrow against the hosted job), then a branch-free bulk
-    /// store refreshes every node — a value-level no-op on the busy nodes
-    /// just updated, and exactly equivalent to the full path on nodes
-    /// with no foreign job attached.
+    /// Each shard streams its own slice of the three SoA lanes: busy
+    /// nodes take the full two-pool accounting path (reclaim/regrow
+    /// against the hosted job), then a branch-free bulk store refreshes
+    /// every node — a value-level no-op on the busy nodes just updated,
+    /// and exactly equivalent to the full path on nodes with no foreign
+    /// job attached.
     fn refresh_window(&mut self, w: usize) {
-        if let WindowSource::Streamed(cursor) = &mut self.windows {
-            // Build (or reuse) the chunk covering `w` before any row
-            // borrow is taken; `ensure` recycles the arena in place.
-            cursor.ensure(w);
-        }
-        let rows = match &self.windows {
-            WindowSource::Table(tbl) => Some((tbl.cpu_row(w), tbl.mem_row(w), tbl.idle_row(w))),
+        let (cpu_row, mem_row, idle_row) = match &mut self.windows {
+            WindowSource::Table(tbl) => (tbl.cpu_row(w), tbl.mem_row(w), tbl.idle_row(w)),
             WindowSource::Streamed(cursor) => {
-                let chunk = cursor.chunk();
-                Some((chunk.cpu_row(w), chunk.mem_row(w), chunk.idle_row(w)))
+                // Build (or reuse) the chunk covering `w`; `ensure`
+                // recycles the arena in place.
+                let chunk = cursor.ensure(w);
+                (chunk.cpu_row(w), chunk.mem_row(w), chunk.idle_row(w))
             }
-            WindowSource::TraceOnly => None,
         };
-        if let Some((cpu_row, mem_row, idle_row)) = rows {
-            let plan = &self.plan;
-            let busy_words = self.busy.words();
-            let cpu_parts = plan.split_mut(&mut self.cpu_w);
-            let mem_parts = plan.split_mut(&mut self.nodes.memory);
-            let idle_parts = plan.split_words_mut(&mut self.idle_words);
-            let workers = {
-                // Inline shard_workers(): `self` is partially borrowed.
-                if plan.shard_count() <= 1 || plan.len() < self.thread_min {
-                    1
-                } else {
-                    default_jobs().min(plan.shard_count())
-                }
-            };
-            let shard_args = cpu_parts.into_iter().zip(mem_parts).zip(idle_parts).enumerate();
-            if workers > 1 {
-                std::thread::scope(|scope| {
-                    for (si, ((cpu_dst, mem_dst), idle_dst)) in shard_args {
-                        let range = plan.ranges()[si].clone();
-                        let busy_w = &busy_words[plan.word_range(si)];
-                        scope.spawn(move || {
-                            refresh_shard(
-                                range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row,
-                                idle_row,
-                            )
-                        });
-                    }
-                });
-            } else {
-                for (si, ((cpu_dst, mem_dst), idle_dst)) in shard_args {
-                    let range = plan.ranges()[si].clone();
-                    let busy_w = &busy_words[plan.word_range(si)];
-                    refresh_shard(
-                        range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row, idle_row,
-                    );
-                }
-            }
-        } else {
-            // Slow path (mixed-period traces): per-node trace lookups.
-            self.idle_words.fill(0);
-            for ni in 0..self.nodes.len() {
-                if self.nodes.is_idle(ni, w) {
-                    self.idle_words[ni / 64] |= 1u64 << (ni % 64);
-                }
-                self.cpu_w[ni] = self.nodes.cpu(ni, w);
-                let used = self.nodes.mem_used(ni, w);
-                self.nodes.memory[ni].set_local_kb(used);
-            }
-        }
+        let plan = &self.plan;
+        let busy_words = self.busy.words();
+        let parts = plan
+            .split_mut(&mut self.cpu_w)
+            .into_iter()
+            .zip(plan.split_mut(&mut self.nodes.memory))
+            .zip(plan.split_words_mut(&mut self.idle_words));
+        plan.run(self.thread_min, parts, |si, ((cpu_dst, mem_dst), idle_dst)| {
+            let busy_w = &busy_words[plan.word_range(si)];
+            let range = plan.ranges()[si].clone();
+            refresh_shard(range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row, idle_row);
+        });
         // One O(n/64) pass replaces the historical per-node inserts; the
         // set content is identical (`free` already excludes crashed
         // nodes).
@@ -1153,8 +1074,7 @@ impl ClusterSim {
         let cold = &self.jobs.cold;
         let idle_words = &self.idle_words;
         let policy = self.cfg.params.policy;
-        let workers = self.shard_workers();
-        let run = |si: usize, out: &mut Vec<DecideIntent>| {
+        plan.run(self.thread_min, bufs.iter_mut(), |si, out| {
             out.clear();
             let wr = plan.word_range(si);
             classify_decisions_shard(
@@ -1168,19 +1088,7 @@ impl ClusterSim {
                 t,
                 out,
             );
-        };
-        if workers > 1 {
-            let run = &run;
-            std::thread::scope(|scope| {
-                for (si, out) in bufs.iter_mut().enumerate() {
-                    scope.spawn(move || run(si, out));
-                }
-            });
-        } else {
-            for (si, out) in bufs.iter_mut().enumerate() {
-                run(si, out);
-            }
-        }
+        });
         self.decide_bufs = bufs;
     }
 
@@ -1236,8 +1144,7 @@ impl ClusterSim {
         let remaining = &self.jobs.remaining;
         let cpu_w = &self.cpu_w;
         let cfg = &self.cfg;
-        let workers = self.shard_workers();
-        let run = |si: usize, out: &mut Vec<ProgressIntent>| {
+        plan.run(self.thread_min, bufs.iter_mut(), |si, out| {
             out.clear();
             let wr = plan.word_range(si);
             classify_progress_shard(
@@ -1251,19 +1158,7 @@ impl ClusterSim {
                 cfg,
                 out,
             );
-        };
-        if workers > 1 {
-            let run = &run;
-            std::thread::scope(|scope| {
-                for (si, out) in bufs.iter_mut().enumerate() {
-                    scope.spawn(move || run(si, out));
-                }
-            });
-        } else {
-            for (si, out) in bufs.iter_mut().enumerate() {
-                run(si, out);
-            }
-        }
+        });
         self.progress_bufs = bufs;
     }
 
@@ -1539,15 +1434,7 @@ impl ClusterSim {
                 .for_job(self.jobs.id[ji].0)
         });
         let start = t + retry.retry_delay(attempt - 1);
-        let (until, bits) = self.migration_terms(mem_kb, start);
-        self.jobs.state[ji] = JobState::Migrating;
-        self.jobs.node[ji] = dest.0 as u32;
-        let cold = &mut self.jobs.cold[ji];
-        cold.migration_until = Some(until);
-        cold.migration_bits_left = bits;
-        cold.migration_attempts = attempt + 1;
-        cold.transfer_seq += 1;
-        self.migrating.push(ji);
+        self.begin_transfer(ji, dest, self.migration_terms(mem_kb, start), attempt + 1);
         self.claim_node(dest, ji);
     }
 
@@ -1559,19 +1446,33 @@ impl ClusterSim {
                 .for_job(self.jobs.id[ji].0)
         });
         self.release_node(from);
-        let (until, bits) = self.migration_terms(self.jobs.mem_kb[ji], t);
+        self.begin_transfer(ji, dest, self.migration_terms(self.jobs.mem_kb[ji], t), 1);
+        let cold = &mut self.jobs.cold[ji];
+        cold.episode_start = None;
+        cold.pause_deadline = None;
+        cold.migrations += 1;
+        self.claim_node(dest, ji); // reserve
+    }
+
+    /// Put job `ji` in flight toward `dest` as transfer attempt
+    /// `attempt`: it lands once the fixed deadline `until` has passed and
+    /// (over a shared network) its `bits` have drained. Each call is a
+    /// fresh transfer, so it also advances the failure-draw key.
+    fn begin_transfer(
+        &mut self,
+        ji: usize,
+        dest: NodeId,
+        (until, bits): (SimTime, Option<f64>),
+        attempt: u32,
+    ) {
         self.jobs.state[ji] = JobState::Migrating;
         self.jobs.node[ji] = dest.0 as u32;
         let cold = &mut self.jobs.cold[ji];
         cold.migration_until = Some(until);
         cold.migration_bits_left = bits;
-        cold.episode_start = None;
-        cold.pause_deadline = None;
-        cold.migrations += 1;
-        cold.migration_attempts = 1;
+        cold.migration_attempts = attempt;
         cold.transfer_seq += 1;
         self.migrating.push(ji);
-        self.claim_node(dest, ji); // reserve
     }
 
     /// Fixed-deadline and transfer terms for a migration starting at `t`.
@@ -1844,16 +1745,8 @@ impl ClusterSim {
         if self.jobs.cold[ji].has_run {
             // Re-materializing an evicted job costs a migration (which
             // starts only once the dispatch delay has elapsed).
-            let (until, bits) = self.migration_terms(mem_kb, t + extra);
-            self.jobs.state[ji] = JobState::Migrating;
-            self.jobs.node[ji] = dest.0 as u32;
-            let cold = &mut self.jobs.cold[ji];
-            cold.migration_until = Some(until);
-            cold.migration_bits_left = bits;
-            cold.migrations += 1;
-            cold.migration_attempts = 1;
-            cold.transfer_seq += 1;
-            self.migrating.push(ji);
+            self.begin_transfer(ji, dest, self.migration_terms(mem_kb, t + extra), 1);
+            self.jobs.cold[ji].migrations += 1;
             self.telemetry.record(|| {
                 self.event_at(t, EventKind::MigrationStart {
                     dest: dest.0 as u32,
@@ -1865,14 +1758,7 @@ impl ClusterSim {
             // A fresh job delayed in flight: no image to move (no
             // migration count, no bits on the backbone), but it arrives
             // only at `t + extra` and the transfer can be lost.
-            self.jobs.state[ji] = JobState::Migrating;
-            self.jobs.node[ji] = dest.0 as u32;
-            let cold = &mut self.jobs.cold[ji];
-            cold.migration_until = Some(t + extra);
-            cold.migration_bits_left = None;
-            cold.migration_attempts = 1;
-            cold.transfer_seq += 1;
-            self.migrating.push(ji);
+            self.begin_transfer(ji, dest, (t + extra, None), 1);
         } else {
             self.nodes.memory[dest.0].attach_foreign(mem_kb);
             let idle = self.idle_at(dest.0);
@@ -1902,25 +1788,12 @@ impl ClusterSim {
         let free_words = self.free.words();
         let idle_words = &self.idle_words;
         let policy = self.cfg.params.policy;
-        let workers = self.shard_workers();
         let st_ref = &st;
-        let run = |si: usize, out: &mut Vec<StealIntent>| {
+        plan.run(self.thread_min, bufs.iter_mut(), |si, out| {
             out.clear();
             let wr = plan.word_range(si);
             classify_steals_shard(wr.start, &free_words[wr], idle_words, policy, st_ref, out);
-        };
-        if workers > 1 {
-            let run = &run;
-            std::thread::scope(|scope| {
-                for (si, out) in bufs.iter_mut().enumerate() {
-                    scope.spawn(move || run(si, out));
-                }
-            });
-        } else {
-            for (si, out) in bufs.iter_mut().enumerate() {
-                run(si, out);
-            }
-        }
+        });
         self.steal_bufs = bufs;
         self.steal = Some(st);
     }
@@ -2369,6 +2242,14 @@ mod tests {
                 assert!(j.completion_time().unwrap() >= SimDuration::from_secs(120));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node")]
+    fn zero_node_cluster_is_rejected() {
+        let mut cfg = small_cfg(Policy::LingerLonger);
+        cfg.nodes = 0;
+        let _ = ClusterSim::new(cfg);
     }
 
     #[test]

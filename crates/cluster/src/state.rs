@@ -13,9 +13,8 @@
 
 use linger::{JobId, JobSpec};
 use linger_sim_core::{SimDuration, SimTime};
-use linger_workload::{CoarseTrace, TwoPoolMemory};
+use linger_workload::TwoPoolMemory;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Index of a node in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -173,53 +172,28 @@ pub const NO_NODE: u32 = u32::MAX;
 /// Per-node state as parallel slabs keyed by node id.
 ///
 /// `hosted` (the occupancy array every placement and decision sweep
-/// reads) and `memory` (refreshed from the trace row each window) are
-/// the hot slabs; the trace handles and phase offsets are cold — they
-/// are only consulted on the slow path when no shared window table
-/// exists.
+/// reads) and `memory` (refreshed from the window row each window) are
+/// the only per-node state; the owner workload itself lives in the
+/// simulator's window source.
 pub struct NodeSlabs {
     /// Job index hosted on (or reserved for) each node; [`NO_JOB`] when
     /// free.
     pub(crate) hosted: Vec<u32>,
     /// Two-pool memory state per node.
     pub(crate) memory: Vec<TwoPoolMemory>,
-    /// Replayed coarse trace per node (cold).
-    pub(crate) traces: Vec<Arc<CoarseTrace>>,
-    /// Start offset into each trace (random per node, Sec 4.2; cold).
-    pub(crate) offsets: Vec<usize>,
 }
 
 impl NodeSlabs {
-    /// Assemble the slabs for `traces`/`offsets`, with each node's memory
-    /// pool initialised from its trace sample at the start offset.
-    pub fn new(traces: Vec<Arc<CoarseTrace>>, offsets: Vec<usize>, node_memory_kb: u32) -> Self {
-        let memory = traces
-            .iter()
-            .zip(&offsets)
-            .map(|(trace, &offset)| {
-                TwoPoolMemory::new(node_memory_kb, trace.sample(offset).mem_used_kb)
-            })
-            .collect();
-        let hosted = vec![NO_JOB; traces.len()];
-        NodeSlabs { hosted, memory, traces, offsets }
-    }
-
-    /// Assemble the slabs without resident traces — the streamed window
-    /// pipeline supplies all per-window node state through its chunk
-    /// cursor instead. `initial_mem_kb` is the chunk's window-0 memory
-    /// row, which by construction equals `trace.sample(offset).mem_used_kb`
-    /// (so both constructors initialise the pools identically).
-    ///
-    /// The trace slow-path accessors ([`NodeSlabs::cpu`] etc.) must not
-    /// be called on a traceless slab; the simulator only uses them when
-    /// it has no window source, and a streamed realization always is one.
-    pub fn traceless(initial_mem_kb: &[u32], node_memory_kb: u32) -> Self {
+    /// Assemble the slabs for a cluster whose owner-resident memory at
+    /// window 0 is `initial_mem_kb` (one entry per node), each node
+    /// holding `node_memory_kb` in total.
+    pub fn new(initial_mem_kb: &[u32], node_memory_kb: u32) -> Self {
         let memory = initial_mem_kb
             .iter()
             .map(|&kb| TwoPoolMemory::new(node_memory_kb, kb))
             .collect();
         let hosted = vec![NO_JOB; initial_mem_kb.len()];
-        NodeSlabs { hosted, memory, traces: Vec::new(), offsets: Vec::new() }
+        NodeSlabs { hosted, memory }
     }
 
     /// Number of nodes.
@@ -248,23 +222,6 @@ impl NodeSlabs {
     /// The memory pool of node `ni`.
     pub fn memory(&self, ni: usize) -> &TwoPoolMemory {
         &self.memory[ni]
-    }
-
-    /// Local CPU utilization of node `ni` during window `w` (trace slow
-    /// path).
-    pub fn cpu(&self, ni: usize, w: usize) -> f64 {
-        self.traces[ni].sample(self.offsets[ni] + w).cpu
-    }
-
-    /// Recruited (idle) during window `w`? (trace slow path)
-    pub fn is_idle(&self, ni: usize, w: usize) -> bool {
-        self.traces[ni].is_idle(self.offsets[ni] + w)
-    }
-
-    /// Local memory demand of node `ni` during window `w`, KB (trace slow
-    /// path).
-    pub fn mem_used(&self, ni: usize, w: usize) -> u32 {
-        self.traces[ni].sample(self.offsets[ni] + w).mem_used_kb
     }
 }
 
@@ -518,7 +475,8 @@ impl JobSlabs {
 
     /// Resident cost of one live job row across every per-slot lane
     /// (hot lanes plus the cold slab) — the unit the admission queue's
-    /// `LINGER_QUEUE_BUDGET` byte budget divides by.
+    /// byte budget ([`crate::service::DEFAULT_QUEUE_BUDGET_BYTES`])
+    /// divides by.
     pub fn job_row_bytes() -> usize {
         use std::mem::size_of;
         size_of::<JobState>()

@@ -272,3 +272,11 @@ fn staggered_arrivals_are_honored() {
         assert!(j.breakdown.queued.as_secs_f64() <= 4.0);
     }
 }
+
+#[test]
+#[should_panic(expected = "traces share one period")]
+fn mixed_period_traces_are_rejected() {
+    let cfg = base_cfg(Policy::LingerLonger, 2, 1, 120);
+    let traces = vec![trace(4000, &[]), trace(3000, &[])];
+    let _ = ClusterSim::with_traces(cfg, traces, vec![WINDOWS_PER_MIN; 2]);
+}

@@ -42,7 +42,8 @@ fn run_signature(mut sim: ClusterSim, shards: usize, width: usize) -> String {
     set_default_jobs(width);
     sim.set_shards(shards);
     // Force the scoped-thread path even on these small clusters, so
-    // width > 1 actually exercises it.
+    // width > 1 actually exercises it (the clusters below span at least
+    // two 64-node words, so shards > 1 really splits them).
     sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
     sim.run();
@@ -67,7 +68,7 @@ proptest! {
     #[test]
     fn any_shard_count_and_width_reproduces_the_serial_run(
         policy_idx in 0usize..4,
-        nodes in 8usize..32,
+        nodes in 65usize..200,
         jobs in 4u32..16,
         demand_s in 60u64..240,
         seed in 0u64..10_000,

@@ -16,6 +16,7 @@
 //! order, and therefore every emitted byte, never depends on which
 //! thread ran which shard.
 
+use crate::par::default_jobs;
 use std::ops::Range;
 
 /// A deterministic split of the id space `0..n` into contiguous,
@@ -50,6 +51,35 @@ impl ShardPlan {
             }
         }
         ShardPlan { n, ranges }
+    }
+
+    /// Run `f(i, part)` once per shard `i`, handing shard `i` the `i`-th
+    /// item of `parts` (its buffer, or its slices of the swept lanes).
+    ///
+    /// Shards run on scoped threads — one per shard — when the plan has
+    /// several shards, covers at least `thread_min` ids, and the process
+    /// worker pool ([`default_jobs`]) is wider than one; otherwise they
+    /// run in-line, in shard order. Either way `f` sees the same
+    /// `(i, part)` pairs, so a caller that merges the parts in shard
+    /// order afterwards gets the same bytes at any thread count.
+    pub fn run<T, F>(&self, thread_min: usize, parts: impl IntoIterator<Item = T>, f: F)
+    where
+        T: Send,
+        F: Fn(usize, T) + Sync,
+    {
+        let threaded = self.shard_count() > 1 && self.n >= thread_min && default_jobs() > 1;
+        if threaded {
+            let f = &f;
+            std::thread::scope(|scope| {
+                for (i, part) in parts.into_iter().enumerate() {
+                    scope.spawn(move || f(i, part));
+                }
+            });
+        } else {
+            for (i, part) in parts.into_iter().enumerate() {
+                f(i, part);
+            }
+        }
     }
 
     /// The size of the id space this plan covers.
@@ -190,6 +220,20 @@ mod tests {
         assert_eq!(parts.len(), plan.shard_count());
         for (i, part) in parts.iter().enumerate() {
             assert_eq!(part.len(), plan.word_range(i).len());
+        }
+    }
+
+    #[test]
+    fn run_hands_each_shard_its_own_part() {
+        let plan = ShardPlan::new(300, 3);
+        for thread_min in [0, usize::MAX] {
+            let mut data = vec![0usize; 300];
+            plan.run(thread_min, plan.split_mut(&mut data), |i, part: &mut [usize]| {
+                part.fill(i + 1);
+            });
+            for (i, r) in plan.ranges().iter().enumerate() {
+                assert!(data[r.clone()].iter().all(|&v| v == i + 1));
+            }
         }
     }
 

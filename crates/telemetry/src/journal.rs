@@ -15,7 +15,7 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default ring capacity (events) when `LINGER_TELEMETRY_CAP` is unset.
+/// Ring capacity (events) of an environment-enabled recorder.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Anything that accepts a stream of events.
@@ -278,9 +278,8 @@ impl Recorder {
     }
 
     /// Build from the environment: enabled iff `LINGER_TELEMETRY` is
-    /// `1`/`true`/`on`, with ring capacity `LINGER_TELEMETRY_CAP`
-    /// (default [`DEFAULT_CAPACITY`]). Read per call, not cached, so
-    /// tests and harness phases can toggle it.
+    /// `1`/`true`/`on`, with ring capacity [`DEFAULT_CAPACITY`]. Read per
+    /// call, not cached, so tests and harness phases can toggle it.
     pub fn from_env() -> Recorder {
         let on = std::env::var("LINGER_TELEMETRY")
             .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
@@ -288,11 +287,7 @@ impl Recorder {
         if !on {
             return Recorder::disabled();
         }
-        let cap = std::env::var("LINGER_TELEMETRY_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        Recorder::with_capacity(cap)
+        Recorder::with_capacity(DEFAULT_CAPACITY)
     }
 
     /// Whether events are being kept.

@@ -19,15 +19,15 @@
 //!
 //! Memory is bounded: each entry's resident bytes are estimated at
 //! insertion and least-recently-used entries are dropped once the budget
-//! (`LINGER_TRACE_CACHE_BYTES`, default 1 GiB) is exceeded. Eviction is
+//! (`DEFAULT_MAX_BYTES`, 1 GiB) is exceeded. Eviction is
 //! safe by construction — holders keep their `Arc`s alive, and a re-miss
 //! re-synthesizes the identical realization.
 
 use crate::coarse::{CoarseTrace, CoarseTraceConfig};
 use crate::generator::LocalWorkload;
 use crate::stream::{
-    auto_chunk_windows, forced_chunk_windows, monolithic_bytes_estimate, window_budget_bytes,
-    StreamSpec, WindowCursor,
+    auto_chunk_windows, forced_chunk_windows, monolithic_bytes_estimate, StreamSpec,
+    WindowCursor, DEFAULT_WINDOW_BUDGET_BYTES,
 };
 use linger_sim_core::{par_map_indexed, RngFactory};
 use serde::Serialize;
@@ -67,8 +67,8 @@ impl WindowTable {
     /// table.
     ///
     /// Returns `None` when the node set is empty or the traces do not all
-    /// share one period — the callers' slow path then reads traces
-    /// directly.
+    /// share one nonzero period: there is then no lockstep replay to
+    /// tabulate.
     pub fn build(traces: &[Arc<CoarseTrace>], offsets: &[usize]) -> Option<WindowTable> {
         let period = traces.first()?.len();
         if period == 0 || traces.iter().any(|t| t.len() != period) {
@@ -166,7 +166,7 @@ impl WorkloadRealization {
     /// affecting the bytes produced.
     ///
     /// When the fully materialized realization would not fit the window
-    /// byte budget (`LINGER_WINDOW_BUDGET_BYTES`, default 4 GiB) — or
+    /// byte budget ([`DEFAULT_WINDOW_BUDGET_BYTES`], 4 GiB) — or
     /// `LINGER_WINDOW_CHUNK` forces it — this returns a *streamed*
     /// realization instead: only the offsets are computed up front and
     /// windows are realized on demand in chunks, byte-identical to the
@@ -175,7 +175,7 @@ impl WorkloadRealization {
         let period = cfg.sample_count();
         let forced = forced_chunk_windows();
         if nodes > 0 && period > 0 {
-            let budget = window_budget_bytes();
+            let budget = DEFAULT_WINDOW_BUDGET_BYTES;
             if forced.is_some() || monolithic_bytes_estimate(nodes, period) > budget {
                 let chunk = forced.unwrap_or_else(|| auto_chunk_windows(nodes, period, budget));
                 return Self::synthesize_streamed(cfg, seed, nodes, chunk);
@@ -443,17 +443,10 @@ impl TraceLibrary {
 
     /// The process-wide shared library.
     ///
-    /// The byte budget is `LINGER_TRACE_CACHE_BYTES` (read once, at first
-    /// use), defaulting to 1 GiB.
+    /// Its byte budget is the default 1 GiB (`DEFAULT_MAX_BYTES`).
     pub fn global() -> &'static TraceLibrary {
         static GLOBAL: OnceLock<TraceLibrary> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let budget = std::env::var("LINGER_TRACE_CACHE_BYTES")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_MAX_BYTES);
-            TraceLibrary::with_max_bytes(budget)
-        })
+        GLOBAL.get_or_init(TraceLibrary::new)
     }
 
     /// The realization for `(cfg, seed, nodes)` — synthesized on first

@@ -29,7 +29,7 @@
 //! in parallel, and attributed to setup time by the harness).
 //!
 //! Knobs: `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk
-//! size (in windows); `LINGER_WINDOW_BUDGET_BYTES` (default 4 GiB) is the
+//! size (in windows); [`DEFAULT_WINDOW_BUDGET_BYTES`] (4 GiB) is the
 //! ceiling above which a monolithic realization would not fit and the
 //! library switches to streaming on its own, sizing chunks to a quarter
 //! of the budget.
@@ -47,18 +47,6 @@ pub const DEFAULT_WINDOW_BUDGET_BYTES: usize = 4 << 30;
 /// Spawn fill threads only at or above this node count — below it the
 /// per-chunk work is too small to amortize thread startup.
 const FILL_THREAD_MIN_NODES: usize = 4096;
-
-/// The byte ceiling for materialized realizations
-/// (`LINGER_WINDOW_BUDGET_BYTES`, default
-/// [`DEFAULT_WINDOW_BUDGET_BYTES`]). Read per call so harnesses can
-/// retune between sections.
-pub fn window_budget_bytes() -> usize {
-    std::env::var("LINGER_WINDOW_BUDGET_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(DEFAULT_WINDOW_BUDGET_BYTES)
-}
 
 /// Chunk size override: `LINGER_WINDOW_CHUNK` windows per chunk, which
 /// also *forces* the streamed path at any node count (the
@@ -346,28 +334,10 @@ impl WindowCursor {
                 }
             }
         };
-        if ranges.len() > 1 {
-            let fill_shard = &fill_shard;
-            std::thread::scope(|scope| {
-                for (((streams, offsets), buf), range) in stream_parts
-                    .into_iter()
-                    .zip(offset_parts)
-                    .zip(self.scratch.iter_mut())
-                    .zip(&ranges)
-                {
-                    scope.spawn(move || fill_shard(streams, offsets, buf, range));
-                }
-            });
-        } else {
-            for (((streams, offsets), buf), range) in stream_parts
-                .into_iter()
-                .zip(offset_parts)
-                .zip(self.scratch.iter_mut())
-                .zip(&ranges)
-            {
-                fill_shard(streams, offsets, buf, range);
-            }
-        }
+        let parts = stream_parts.into_iter().zip(offset_parts).zip(self.scratch.iter_mut());
+        self.plan.run(FILL_THREAD_MIN_NODES, parts, |i, ((streams, offsets), buf)| {
+            fill_shard(streams, offsets, buf, &ranges[i]);
+        });
 
         // Scatter shard buffers into window-major rows, in node order.
         let chunk = &mut self.chunk;

@@ -63,6 +63,9 @@ fn record(args: &[String]) {
     let out = flag_value(args, "--out").unwrap_or_else(|| fail("record needs --out FILE"));
     let seed: u64 = flag_value(args, "--seed").map_or(1998, |s| parse(&s, "--seed"));
     let nodes: usize = flag_value(args, "--nodes").map_or(12, |s| parse(&s, "--nodes"));
+    if nodes == 0 {
+        fail("--nodes must be at least 1");
+    }
     let jobs: u32 = flag_value(args, "--jobs").map_or(24, |s| parse(&s, "--jobs"));
     let policy: Policy =
         flag_value(args, "--policy").map_or(Policy::LingerLonger, |s| parse(&s, "--policy"));

@@ -180,6 +180,9 @@ fn cmd_node(cli: &Cli) -> Result<String, CliError> {
 
 fn cmd_cluster(cli: &Cli) -> Result<String, CliError> {
     let nodes: usize = opt(cli, "nodes", 16)?;
+    if nodes == 0 {
+        return Err(CliError::BadValue("nodes".into(), "0".into()));
+    }
     let jobs: u32 = opt(cli, "jobs", 32)?;
     let job_secs: u64 = opt(cli, "job-secs", 300)?;
     let seed: u64 = opt(cli, "seed", 0)?;
@@ -362,6 +365,12 @@ mod tests {
         // count) and must not be read as a worker-thread setting.
         let cli = parse(&args("cluster --nodes 4 --jobs 4 --job-secs 60 --policy IE")).unwrap();
         assert!(run(&cli).unwrap().contains("4 jobs"));
+    }
+
+    #[test]
+    fn cluster_rejects_zero_nodes() {
+        let cli = parse(&args("cluster --nodes 0 --policy LL")).unwrap();
+        assert!(matches!(run(&cli).unwrap_err(), CliError::BadValue(k, _) if k == "nodes"));
     }
 
     #[test]

@@ -103,3 +103,16 @@ fn different_seeds_diverge_at_a_specific_decision() {
         "divergence must carry at least one side's event"
     );
 }
+
+#[test]
+fn inspect_record_rejects_zero_nodes() {
+    let out = std::env::temp_dir().join("linger-inspect-zero-nodes.jsonl");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_linger-inspect"))
+        .args(["record", "--nodes", "0", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run linger-inspect");
+    assert_eq!(run.status.code(), Some(2), "{run:?}");
+    assert!(String::from_utf8_lossy(&run.stderr).contains("--nodes"));
+    assert!(!out.exists(), "no journal for a rejected run");
+}
